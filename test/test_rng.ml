@@ -157,7 +157,7 @@ let test_split_golden () =
   let streams = Rng.split (Rng.create ~seed:23) 4 in
   let expected =
     [| 0x9D597A6DADD0E87CL; 0x3A199AB9E3EB0560L;
-       0x7E18F563A69A9510L; 0xC32634F127CBD3B5L |]
+    0x7E18F563A69A9510L; 0xC32634F127CBD3B5L |]
   in
   Array.iteri
     (fun i s ->
@@ -165,6 +165,79 @@ let test_split_golden () =
         (Printf.sprintf "stream %d first draw" i)
         expected.(i) (Rng.bits64 s))
     streams
+
+(* The first 64 [Rng.gaussian] values (as IEEE bit patterns) from a
+   root stream and from a split child, pinned so that any change to the
+   generator's state layout or to the polar method must keep every
+   draw bit for bit. *)
+let gaussian_golden_root =
+  [|
+    0x3FEF679D98B6AB7BL; 0xBFE21A610C887574L; 0x3FF571F94D19C30AL;
+    0x3FD9BF7E7B2C7E67L; 0xBFEEDAE4F6954EF1L; 0x3FD150B492B02CA5L;
+    0x3FC91DF36FC7A31DL; 0x3FF2752C5C480A10L; 0x3FC9F8E83E100AC6L;
+    0xBFDF0E22E3F6478BL; 0xC001EEA5740E03D7L; 0x3FF105ABE3544717L;
+    0x4003A5FB48B98253L; 0xBFF0FCE56BFD47B4L; 0xBFBF5BA6F39917F9L;
+    0x3FC0CF734FC84F7BL; 0x4001180EEFF8F5E9L; 0x3FD6DAD666933D25L;
+    0x3FD27375729FDBA8L; 0xBFD4DF263DD03553L; 0xBFB988DF59C601D7L;
+    0x3FE3663F22596942L; 0x3FB1753A30DF399CL; 0x3FF151EBB1C2AE33L;
+    0xBFE63348C9643CD5L; 0x3FCD4C36067DBD80L; 0x3FEF0C3F9FE30C6EL;
+    0xBFEF41C5D893EC18L; 0x3FF58065BBB450B0L; 0xBFDBE8B5685AE2EBL;
+    0x3FC754C5658BBDF3L; 0x3FF689F5BE1FD2DBL; 0x3FD0EF4BFF3F7CC8L;
+    0xBFCFB1D4B415EFF4L; 0xBFEB7B5D002344B9L; 0x40034761ABD359DFL;
+    0xBFE21756295DB371L; 0xBFBB544471092034L; 0x3FFDA52C02CFDD81L;
+    0x3FF03006486D30D8L; 0x3FE975DA00BF3098L; 0xBFE9974094B3E592L;
+    0x3FFB1360E974BB4AL; 0xBFB2146A29393212L; 0xBFCA29DBB15CB67CL;
+    0x3FF5A4F2D1FE986DL; 0x3FDC054CB4AF19E8L; 0xBFF1F32A2B0782FEL;
+    0x3FE2935A8C75BCF8L; 0xBFE8C0D5EFB0B58CL; 0x3FC67E265562DB52L;
+    0xBFE04A009E06F709L; 0x3FB504404B719564L; 0x3FCFBAF13BDA285EL;
+    0x3FD710799C9A75F2L; 0x3FBAE73AB401677BL; 0x3FD91DBF505B320FL;
+    0x3FF437010C1CCDC7L; 0xBFF41605809796F1L; 0xBFCA1F5103EDE65EL;
+    0x3FF9A3F7AA8E8990L; 0xBFF1462D483CAB93L; 0xBFE82177D6472B23L;
+    0xBFE056B91A38BEEBL
+  |]
+
+let gaussian_golden_child =
+  [|
+    0x3FCD9EAB4C0131C5L; 0xC00051B81F468347L; 0x3FD3A25A5881589FL;
+    0xBFC5EA25ABF97B57L; 0xBFE1A5B1E70ED43FL; 0xC003B8D34EB0FF5EL;
+    0xBFE6DFCDDD2660F2L; 0xBFF2A49C45723496L; 0xBFCB496720041EFFL;
+    0x3FC3C49EDCA0CFD0L; 0xC003C1D1DD137819L; 0x3FE1F99F72721F6CL;
+    0x3FF1A23845F20006L; 0x3FD25147597BE577L; 0x3FE2DA299902555AL;
+    0xBFC4BA3C23BC8E7FL; 0x3FDFC4F7D4694146L; 0xBFD41E5DA2FE3C3FL;
+    0xBFD94C184F1620E5L; 0xBFE01E15BADA2E19L; 0xBFF2E03BBE8DF0D3L;
+    0x3FFC2A55584343B5L; 0x3F4FF1663C99CBABL; 0xBFF07656D95B5B52L;
+    0xBFF6C2DF8152ACF5L; 0x3FF445B839C99411L; 0xBFF8572E982DED7BL;
+    0x3FDA953965D72EABL; 0xBFF06178EAAA4290L; 0x3FD428DFF3441A38L;
+    0xBFD1E682C1B56147L; 0x3FE35BB5EAEAC1C7L; 0xBFEB8944408AD9DCL;
+    0x3FC84966462CF5A3L; 0x3FB2D13CE913CBAEL; 0x3FFF1F0F10C353D1L;
+    0x3FF912419F904D94L; 0xBFEC02E846E5E3C4L; 0xBFD18A9E306DAB74L;
+    0xBFE59874FA3B9FD6L; 0x3FFB92D9A0970AAFL; 0x3FE49D166A9863EFL;
+    0xBFE3EB06812DE9FBL; 0x3FD2725E04E7EA98L; 0xBFCBFC7AAE3912CCL;
+    0xBFE0D727D97C938EL; 0x3FDA1F517B40F316L; 0x3FD4D09E5CE788E0L;
+    0x3FEDF163BB3CC188L; 0xBFED34B624A0D87FL; 0xBFE5E214E3D327B7L;
+    0xBFF4E24ABDE708A5L; 0xBFF68C7F964297A8L; 0x3FCE55457A639B2CL;
+    0xBFBB9482EAF1C1E4L; 0x3FE1AD40379821F8L; 0x3FE81D70AE82C2C3L;
+    0x3FC6D823E0A2D7FBL; 0xBF9473A2C0C1DFA2L; 0x3FF0FBDCD38B5221L;
+    0x3FD1EE572E204A69L; 0x3FF68251113FF7ADL; 0xBFEBADC83E3A9307L;
+    0xBFF107356C42B052L
+  |]
+
+let check_gaussian_golden name rng expected =
+  Array.iteri
+    (fun i e ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%s gaussian %d" name i)
+        e
+        (Int64.bits_of_float (Rng.gaussian rng)))
+    expected
+
+let test_gaussian_golden_root () =
+  check_gaussian_golden "seed 42" (Rng.create ~seed:42) gaussian_golden_root
+
+let test_gaussian_golden_child () =
+  check_gaussian_golden "split 8 child 3"
+    (Rng.split (Rng.create ~seed:42) 8).(3)
+    gaussian_golden_child
 
 let test_split_rejects_nonpositive () =
   let parent = Rng.create ~seed:29 in
@@ -206,6 +279,8 @@ let suite =
     slow "split cross-stream correlation" test_split_cross_stream_correlation;
     quick "split determinism" test_split_determinism;
     quick "split golden fixture" test_split_golden;
+    quick "gaussian golden fixture (root)" test_gaussian_golden_root;
+    quick "gaussian golden fixture (split child)" test_gaussian_golden_child;
     quick "split rejects n <= 0" test_split_rejects_nonpositive;
     quick "copy" test_copy;
     quick "shuffle is a permutation" test_shuffle_permutation;

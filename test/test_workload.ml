@@ -103,6 +103,43 @@ let test_jsonl_bit_identical_across_jobs () =
     (List.length
        (List.filter (fun l -> l <> "") (String.split_on_char '\n' j1)))
 
+(* The benchmark's sweep-mc grid (its three sources expand to four
+   contexts), cut to the three sampled methods at 4000 samples.  The
+   digest was taken before the sampling kernels were made
+   allocation-free; it pins that the Rng, Mvn and Importance kernels
+   still draw the same stream and reduce it in the same order. *)
+let sampled_sweep_grid =
+  String.concat "\n"
+    [
+      "rho 0.3";
+      "stages "
+      ^ String.concat " "
+          (List.init 12 (fun i -> Printf.sprintf "%d,5" (100 + i)));
+      "rho 0";
+      "stages 100,6 98,5 102,7 97,4";
+      "circuit chain10";
+      "inter_vth_mv 60";
+      "targets 115,125,135,145";
+      "method mc,adaptive,importance";
+      "samples 4000";
+      "shards 8";
+      "";
+    ]
+
+let sampled_sweep_digest = "eef1d890c98fd10b5a897a74e6ec840e"
+
+let test_sampled_sweep_digest_pinned () =
+  let g = parse sampled_sweep_grid in
+  Alcotest.(check int) "scenarios" 48 (Grid.n_scenarios g);
+  List.iter
+    (fun jobs ->
+      let jsonl = Sweep.to_jsonl (Sweep.run ~jobs ~seed:42 g) in
+      Alcotest.(check string)
+        (Printf.sprintf "JSONL md5 at jobs %d" jobs)
+        sampled_sweep_digest
+        (Digest.to_hex (Digest.string jsonl)))
+    [ 1; 2 ]
+
 (* Every row must match the single-scenario engine call a user would
    have made instead — context and Mc-pass sharing may not shift a
    single bit, for any method in the taxonomy. *)
@@ -396,6 +433,8 @@ let suite =
       test_smoke_grid_shape;
     Alcotest.test_case "sweep: JSONL bit-identical across jobs 1/2/4" `Quick
       test_jsonl_bit_identical_across_jobs;
+    Alcotest.test_case "sweep: sampled-method JSONL digest pinned" `Quick
+      test_sampled_sweep_digest_pinned;
     Alcotest.test_case "sweep: rows match single-scenario engine calls" `Quick
       test_rows_match_single_scenario_calls;
     Alcotest.test_case "sweep: one context per (source, process) pair" `Quick
