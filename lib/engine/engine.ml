@@ -612,21 +612,39 @@ let resolve_jobs ~where jobs =
 
 let shard_streams ~seed ~shards = Rng.split (Rng.create ~seed) shards
 
+(* Every trial below is built by a [make_trial rng] (or [make_sample])
+   applied once per shard stream, before any task runs: a sampler's
+   scratch vectors are created there, so each shard owns its own and
+   only the task running that shard ever touches them. *)
+let fails_trial mvn ~t_target rng =
+  let draw = Mvn.max_sampler mvn rng in
+  fun () -> draw () > t_target
+
+let passes_trial mvn ~t_target rng =
+  let draw = Mvn.max_sampler mvn rng in
+  fun () -> draw () <= t_target
+
 let shard_counts n shards =
   Array.init shards (fun i ->
       (n / shards) + if i < n mod shards then 1 else 0)
 
 (* Streaming moments: Welford accumulation per shard, Chan's parallel
    merge across shards (applied in fixed shard order). *)
-type moments = { mutable m_n : int; mutable m_mean : float; mutable m_m2 : float }
+(* The count is held as a float so the record is all-float and its
+   fields are stored unboxed: an [int] field would make every
+   [m_mean]/[m_m2] update allocate.  Counts stay far below 2^53, where
+   the float is exact. *)
+type moments = { mutable m_n : float; mutable m_mean : float; mutable m_m2 : float }
 
-let moments_create () = { m_n = 0; m_mean = 0.0; m_m2 = 0.0 }
+let moments_create () = { m_n = 0.0; m_mean = 0.0; m_m2 = 0.0 }
 
 let moments_add m x =
-  m.m_n <- m.m_n + 1;
+  m.m_n <- m.m_n +. 1.0;
   let d = x -. m.m_mean in
-  m.m_mean <- m.m_mean +. (d /. float_of_int m.m_n);
+  m.m_mean <- m.m_mean +. (d /. m.m_n);
   m.m_m2 <- m.m_m2 +. (d *. (x -. m.m_mean))
+
+let moments_snapshot m = (int_of_float m.m_n, m.m_mean, m.m_m2)
 
 let moments_merge (n1, mean1, m2a) (n2, mean2, m2b) =
   if n2 = 0 then (n1, mean1, m2a)
@@ -717,7 +735,7 @@ let moments_fixed ~jobs ~shards ~seed ~n ~make_trial =
         for _ = 1 to counts.(i) do
           moments_add m (t ())
         done;
-        (m.m_n, m.m_mean, m.m_m2))
+        moments_snapshot m)
   in
   Array.fold_left moments_merge (0, 0.0, 0.0) (Par.run ~jobs tasks)
 
@@ -737,7 +755,7 @@ let moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
           for _ = 1 to counts.(i) do
             moments_add m (t ())
           done;
-          (m.m_n, m.m_mean, m.m_m2))
+          moments_snapshot m)
     in
     let snaps = Par.run ~jobs tasks in
     drawn := !drawn + round;
@@ -820,14 +838,14 @@ let importance_loss ~where ~proposal ~jobs ~shards ~seed ~n ctx ~t_target =
     (* Body target: every useful shift is ~0, so reweighted sampling
        is plain sampling with extra variance in the bookkeeping.  Run
        the plain Bernoulli estimator and say so. *)
-    let make_trial rng () = Mvn.sample_max mvn rng > t_target in
+    let make_trial = fails_trial mvn ~t_target in
     let fails = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
     let p = float_of_int fails /. float_of_int n in
     let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
     (p, se, float_of_int fails, Prop_plain)
   end
   else begin
-    let make_trial rng () = Spv_stats.Importance.draw_weight plan rng in
+    let make_trial = Spv_stats.Importance.weight_sampler plan in
     let n_run, mean, m2 = moments_fixed ~jobs ~shards ~seed ~n ~make_trial in
     let p_fail, se = mean_se (n_run, mean, m2) in
     let se = if Float.is_finite se then se else 0.0 in
@@ -958,7 +976,7 @@ let yield ?(method_ = Adaptive_mc) ?(proposal = Legacy) ?jobs
       let jobs = resolve_jobs ~where jobs in
       check_positive ~where "n" n;
       let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng <= t_target in
+      let make_trial = passes_trial mvn ~t_target in
       let successes = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
       let p = float_of_int successes /. float_of_int n in
       let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
@@ -972,7 +990,7 @@ let yield ?(method_ = Adaptive_mc) ?(proposal = Legacy) ?jobs
       if not (rel_se_target > 0.0) then
         invalid_arg (where ^ ": rel_se_target must be positive");
       let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng <= t_target in
+      let make_trial = passes_trial mvn ~t_target in
       let successes, drawn, stop =
         bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples
           ~rel_se_target ~max_samples ~make_trial
@@ -1008,7 +1026,7 @@ let yield_targets ?(method_ = Adaptive_mc) ?proposal ?jobs
       check_positive ~where "shards" shards;
       check_positive ~where "n" n;
       let mvn = Ctx.mvn ctx in
-      let make_sample rng () = Mvn.sample_max mvn rng in
+      let make_sample = Mvn.max_sampler mvn in
       let successes =
         bernoulli_fixed_multi ~jobs ~shards ~seed ~n ~make_sample
           ~targets:t_targets
@@ -1068,7 +1086,7 @@ let yield_loss ?(method_ = Adaptive_mc) ?(proposal = Legacy) ?jobs
       let jobs = resolve_jobs ~where jobs in
       check_positive ~where "n" n;
       let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng > t_target in
+      let make_trial = fails_trial mvn ~t_target in
       let fails = bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial in
       let p = float_of_int fails /. float_of_int n in
       let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n) in
@@ -1082,7 +1100,7 @@ let yield_loss ?(method_ = Adaptive_mc) ?(proposal = Legacy) ?jobs
       if not (rel_se_target > 0.0) then
         invalid_arg (where ^ ": rel_se_target must be positive");
       let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng > t_target in
+      let make_trial = fails_trial mvn ~t_target in
       let fails, drawn, stop =
         bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples
           ~rel_se_target ~max_samples ~make_trial
@@ -1120,7 +1138,7 @@ let delay_mean ?(method_ = Adaptive_mc) ?jobs ?(shards = default_shards)
       let jobs = resolve_jobs ~where jobs in
       check_positive ~where "n" n;
       let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng in
+      let make_trial = Mvn.max_sampler mvn in
       let merged = moments_fixed ~jobs ~shards ~seed ~n ~make_trial in
       let mean, se = mean_se merged in
       let se = if Float.is_finite se then se else 0.0 in
@@ -1134,7 +1152,7 @@ let delay_mean ?(method_ = Adaptive_mc) ?jobs ?(shards = default_shards)
       if not (rel_se_target > 0.0) then
         invalid_arg (where ^ ": rel_se_target must be positive");
       let mvn = Ctx.mvn ctx in
-      let make_trial rng () = Mvn.sample_max mvn rng in
+      let make_trial = Mvn.max_sampler mvn in
       let merged, stop =
         moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples
           ~rel_se_target ~max_samples ~make_trial
@@ -1156,7 +1174,7 @@ let sample_delays ?jobs ?(shards = default_shards) ?(seed = default_seed) ctx
   check_positive ~where "shards" shards;
   check_positive ~where "n" n;
   let mvn = Ctx.mvn ctx in
-  let make_trial rng () = Mvn.sample_max mvn rng in
+  let make_trial = Mvn.max_sampler mvn in
   fill_fixed ~jobs ~shards ~seed ~n ~make_trial
 
 let gate_sampler ~where ?exact ctx =

@@ -53,20 +53,30 @@ let default_mixture mvn ~threshold =
       let total = Array.fold_left ( +. ) 0.0 ws in
       (shifts, Array.map (fun w -> w /. total) ws)
 
-let mixture_weight ~shifts ~alphas z =
-  (* w(z) = phi(z) / sum_j alpha_j phi(z - theta_j)
-          = 1 / sum_j alpha_j exp(theta_j . z - |theta_j|^2 / 2). *)
+(* Squared norm |theta|^2 of each shift, summed left to right. *)
+let squared_norms shifts =
+  Array.map
+    (fun theta ->
+      let sq = ref 0.0 in
+      for i = 0 to Array.length theta - 1 do
+        sq := !sq +. (theta.(i) *. theta.(i))
+      done;
+      !sq)
+    shifts
+
+(* w(z) = phi(z) / sum_j alpha_j phi(z - theta_j)
+        = 1 / sum_j alpha_j exp(theta_j . z - |theta_j|^2 / 2),
+   with [sqs] the shifts' squared norms. *)
+let mixture_weight ~shifts ~sqs ~alphas z =
   let denom = ref 0.0 in
-  Array.iteri
-    (fun j theta ->
-      let dot = ref 0.0 and sq = ref 0.0 in
-      Array.iteri
-        (fun i t ->
-          dot := !dot +. (t *. z.(i));
-          sq := !sq +. (t *. t))
-        theta;
-      denom := !denom +. (alphas.(j) *. exp (!dot -. (!sq /. 2.0))))
-    shifts;
+  for j = 0 to Array.length shifts - 1 do
+    let theta = shifts.(j) in
+    let dot = ref 0.0 in
+    for i = 0 to Array.length theta - 1 do
+      dot := !dot +. (theta.(i) *. z.(i))
+    done;
+    denom := !denom +. (alphas.(j) *. exp (!dot -. (sqs.(j) /. 2.0)))
+  done;
   if !denom <= 0.0 then 0.0 else 1.0 /. !denom
 
 (* ---- single-trial sampler kernel ------------------------------------ *)
@@ -76,6 +86,7 @@ type plan = {
   p_threshold : float;
   p_shifts : float array array;
   p_alphas : float array;
+  p_sqs : float array;  (* |theta_j|^2, see [mixture_weight] *)
   p_cumulative : float array;
 }
 
@@ -137,44 +148,53 @@ let plan ?z_shifts ?z_alphas mvn ~threshold =
     p_threshold = threshold;
     p_shifts = shifts;
     p_alphas = alphas;
+    p_sqs = squared_norms shifts;
     p_cumulative = cumulative;
   }
 
 let max_shift_norm p =
-  Array.fold_left
-    (fun acc shift ->
-      let sq = Array.fold_left (fun s t -> s +. (t *. t)) 0.0 shift in
-      Float.max acc (sqrt sq))
-    0.0 p.p_shifts
+  Array.fold_left (fun acc sq -> Float.max acc (sqrt sq)) 0.0 p.p_sqs
 
 let n_modes p = Array.length p.p_shifts
 
-let draw_weight p rng =
+let weight_sampler p rng =
   let k = Array.length p.p_shifts in
-  let pick_mode u =
-    let rec go j =
-      if j >= k - 1 || u < p.p_cumulative.(j) then j else go (j + 1)
-    in
-    go 0
-  in
-  let j = pick_mode (Rng.float rng) in
   let d = Mvn.dim p.p_mvn in
-  let z = Array.init d (fun i -> p.p_shifts.(j).(i) +. Rng.gaussian rng) in
-  let x = Mvn.transform p.p_mvn z in
-  let worst = Array.fold_left Float.max neg_infinity x in
-  if worst > p.p_threshold then
-    mixture_weight ~shifts:p.p_shifts ~alphas:p.p_alphas z
-  else 0.0
+  let z = Array.make d 0.0 and x = Array.make d 0.0 in
+  fun () ->
+    (* Mode pick, then the Gaussians, then the shift, then the
+       transform: the stream order every estimate is pinned to. *)
+    let u = Rng.float rng in
+    let j = ref 0 in
+    while !j < k - 1 && not (u < p.p_cumulative.(!j)) do
+      incr j
+    done;
+    let shift = p.p_shifts.(!j) in
+    Rng.fill_gaussian rng z;
+    for i = 0 to d - 1 do
+      z.(i) <- shift.(i) +. z.(i)
+    done;
+    Mvn.transform_into p.p_mvn z x;
+    (* The max is folded here rather than returned from [Mvn], whose
+       float result would be boxed on every draw. *)
+    let worst = ref neg_infinity in
+    for i = 0 to d - 1 do
+      worst := Float.max !worst x.(i)
+    done;
+    if !worst > p.p_threshold then
+      mixture_weight ~shifts:p.p_shifts ~sqs:p.p_sqs ~alphas:p.p_alphas z
+    else 0.0
+
+let draw_weight p rng = weight_sampler p rng ()
 
 let failure_above ?z_shifts mvn rng ~n ~threshold =
   if n <= 0 then invalid_arg "Importance.failure_above: n <= 0";
   let p = plan ?z_shifts mvn ~threshold in
-  summarise (Array.init n (fun _ -> draw_weight p rng))
+  let draw = weight_sampler p rng in
+  summarise (Array.init n (fun _ -> draw ()))
 
 let plain_failure_above mvn rng ~n ~threshold =
   if n <= 0 then invalid_arg "Importance.plain_failure_above: n <= 0";
-  let values =
-    Array.init n (fun _ ->
-        if Mvn.sample_max mvn rng > threshold then 1.0 else 0.0)
-  in
+  let draw = Mvn.max_sampler mvn rng in
+  let values = Array.init n (fun _ -> if draw () > threshold then 1.0 else 0.0) in
   summarise values

@@ -55,7 +55,15 @@ val n_modes : plan -> int
 val draw_weight : plan -> Rng.t -> float
 (** One importance-sampling trial: the reweighted failure indicator
     (0 when the draw does not fail).  The mean of these values over
-    many trials estimates P{max_i X_i > threshold}. *)
+    many trials estimates P{max_i X_i > threshold}.  Same as one call
+    of a fresh {!weight_sampler}. *)
+
+val weight_sampler : plan -> Rng.t -> unit -> float
+(** [weight_sampler p rng] preallocates one trial's scratch; each call
+    of the result is one {!draw_weight} trial on [rng], allocating
+    only its boxed result.  The sampler owns its scratch and [rng]:
+    build one per domain (per shard in the engine) and never share
+    it. *)
 
 val failure_above :
   ?z_shifts:float array array -> Mvn.t -> Rng.t -> n:int -> threshold:float ->

@@ -42,14 +42,23 @@ let mul a b =
       done;
       !acc)
 
+let mat_vec_into a x out =
+  if a.c <> Array.length x || a.r <> Array.length out then
+    invalid_arg "Matrix.mat_vec: dimension mismatch";
+  if x == out then invalid_arg "Matrix.mat_vec_into: output aliases input";
+  for i = 0 to a.r - 1 do
+    let row = i * a.c in
+    let acc = ref 0.0 in
+    for j = 0 to a.c - 1 do
+      acc := !acc +. (a.data.(row + j) *. x.(j))
+    done;
+    out.(i) <- !acc
+  done
+
 let mat_vec a x =
-  if a.c <> Array.length x then invalid_arg "Matrix.mat_vec: dimension mismatch";
-  Array.init a.r (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to a.c - 1 do
-        acc := !acc +. (get a i j *. x.(j))
-      done;
-      !acc)
+  let out = Array.make a.r 0.0 in
+  mat_vec_into a x out;
+  out
 
 let scale a k = init ~rows:a.r ~cols:a.c (fun i j -> k *. get a i j)
 

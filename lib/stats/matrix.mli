@@ -20,6 +20,13 @@ val copy : t -> t
 val transpose : t -> t
 val mul : t -> t -> t
 val mat_vec : t -> float array -> float array
+
+val mat_vec_into : t -> float array -> float array -> unit
+(** [mat_vec_into a x out] writes [a x] into [out] without allocating,
+    summing each row in the same order as {!mat_vec} (so the results
+    are bit-identical).  [out] must have [rows a] entries and must not
+    be [x]. *)
+
 val scale : t -> float -> t
 val add : t -> t -> t
 

@@ -27,11 +27,20 @@ let create ~mus ~sigmas ~corr =
 
 let dim t = Array.length t.mus
 
+(* x = mu + L z, written into [out]; the one copy of the transform
+   every sampler below shares. *)
+let transform_into t z out =
+  Matrix.mat_vec_into t.chol z out;
+  for i = 0 to Array.length out - 1 do
+    out.(i) <- t.mus.(i) +. out.(i)
+  done
+
 let transform t z =
   let n = dim t in
   if Array.length z <> n then invalid_arg "Mvn.transform: dimension mismatch";
-  let correlated = Matrix.mat_vec t.chol z in
-  Array.init n (fun i -> t.mus.(i) +. correlated.(i))
+  let out = Array.make n 0.0 in
+  transform_into t z out;
+  out
 
 let whiten t x =
   let n = dim t in
@@ -39,13 +48,26 @@ let whiten t x =
   Matrix.solve_lower t.chol (Array.init n (fun i -> x.(i) -. t.mus.(i)))
 
 let sample t rng =
-  transform t (Array.init (dim t) (fun _ -> Rng.gaussian rng))
+  let z = Array.make (dim t) 0.0 in
+  Rng.fill_gaussian rng z;
+  transform t z
 
 let sample_many t rng ~n = Array.init n (fun _ -> sample t rng)
 
-let sample_max t rng =
-  let x = sample t rng in
-  Array.fold_left Float.max neg_infinity x
+let max_sampler t rng =
+  let n = dim t in
+  let z = Array.make n 0.0 and x = Array.make n 0.0 in
+  fun () ->
+    Rng.fill_gaussian rng z;
+    transform_into t z x;
+    (* [Array.fold_left Float.max neg_infinity x], unboxed. *)
+    let m = ref neg_infinity in
+    for i = 0 to n - 1 do
+      m := Float.max !m x.(i)
+    done;
+    !m
+
+let sample_max t rng = max_sampler t rng ()
 
 let cholesky_row t i =
   let n = dim t in

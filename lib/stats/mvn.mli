@@ -30,7 +30,20 @@ val sample_many : t -> Rng.t -> n:int -> float array array
 (** [n] joint draws (rows). *)
 
 val sample_max : t -> Rng.t -> float
-(** Max component of one joint draw — a pipeline-delay sample. *)
+(** Max component of one joint draw — a pipeline-delay sample.  Same
+    as one call of a fresh {!max_sampler}. *)
+
+val max_sampler : t -> Rng.t -> unit -> float
+(** [max_sampler t rng] preallocates the scratch vectors of one
+    sampler; each call of the result draws the max component of one
+    joint draw from [rng], allocating only its boxed result.
+    Successive calls draw exactly what successive {!sample_max} calls
+    on [rng] would.  The sampler owns its scratch and [rng]: build one
+    per domain (per shard in the engine) and never share it. *)
+
+val transform_into : t -> float array -> float array -> unit
+(** [transform_into t z out] is {!transform} writing into [out]
+    (length [dim t], distinct from [z]) instead of a fresh array. *)
 
 val cholesky_row : t -> int -> float array
 (** Row [i] of the covariance's Cholesky factor L (so component i is

@@ -6,7 +6,10 @@
     experiments are reproducible from a fixed seed. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four xoshiro words and the pending
+    polar-method value, packed in one byte buffer so that drawing
+    allocates nothing.  A [t] is not safe to share between domains;
+    give each domain its own (see {!split}). *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator deterministically from [seed].
@@ -42,7 +45,14 @@ val int : t -> bound:int -> int
 
 val gaussian : t -> float
 (** Standard normal draw (Marsaglia polar method, both antithetic
-    values used). *)
+    values used).  Equivalent to a one-element {!fill_gaussian}. *)
+
+val fill_gaussian : t -> float array -> unit
+(** [fill_gaussian rng a] overwrites [a] with standard normal draws,
+    allocating nothing.  The draws are exactly those of
+    [Array.length a] successive {!gaussian} calls, and the two may be
+    interleaved freely: a value held over by one is the next value the
+    other returns. *)
 
 val gaussian_mu_sigma : t -> mu:float -> sigma:float -> float
 (** Normal draw with mean [mu] and standard deviation [sigma >= 0]. *)

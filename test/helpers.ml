@@ -19,6 +19,20 @@ let check_raises_invalid name f =
         (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: expected Invalid_argument, got a value" name
 
+(* Minor-heap words allocated per call of [draw] over [n] calls, on the
+   calling domain.  The accumulator stays a local unboxed float, so
+   only what [draw] itself allocates is counted. *)
+let minor_words_per_call ~n draw =
+  ignore (draw () : float);
+  let acc = ref 0.0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc +. draw ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  words /. float_of_int n
+
 let quick name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 

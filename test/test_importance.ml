@@ -114,6 +114,47 @@ let test_validation () =
         (I.failure_above ~z_shifts:[| [| 1.0; 2.0 |] |] mvn (Rng.create ~seed:1)
            ~n:10 ~threshold:1.0))
 
+(* First [draw_weight] trials from seed 45 on twelve correlated stages
+   with the barrier at 125 (seven of twelve fail), as IEEE bits,
+   recorded before the sampler was rewritten to reuse scratch
+   vectors. *)
+let draw_weight_golden =
+  [|
+    0x3FA18DC427F8BA5DL; 0x3F9744D294EB2766L; 0x0000000000000000L;
+    0x0000000000000000L; 0x3F93A365B3A6A6A3L; 0x0000000000000000L;
+    0x0000000000000000L; 0x3F6D47FCCB663DA8L; 0x3F904065E9D2243FL;
+    0x0000000000000000L; 0x3F72C0980A1DA0CFL; 0x3F60E7E0D9DFE16FL;
+  |]
+
+let plan12 () =
+  let mvn =
+    Mvn.create
+      ~mus:(Array.init 12 (fun i -> 100.0 +. float_of_int i))
+      ~sigmas:(Array.make 12 5.0) ~corr:(C.uniform ~n:12 ~rho:0.3)
+  in
+  I.plan mvn ~threshold:125.0
+
+let test_draw_weight_golden () =
+  let plan = plan12 () in
+  let check name draw =
+    Array.iteri
+      (fun i e ->
+        Alcotest.(check int64)
+          (Printf.sprintf "%s trial %d" name i)
+          e
+          (Int64.bits_of_float (draw ())))
+      draw_weight_golden
+  in
+  let rng = Rng.create ~seed:45 in
+  check "draw_weight" (fun () -> I.draw_weight plan rng);
+  check "weight_sampler" (I.weight_sampler plan (Rng.create ~seed:45))
+
+let test_weight_sampler_allocation () =
+  let draw = I.weight_sampler (plan12 ()) (Rng.create ~seed:47) in
+  let words = minor_words_per_call ~n:100_000 draw in
+  if words > 4.0 then
+    Alcotest.failf "weight_sampler: %.2f minor words per draw (limit 4)" words
+
 let suite =
   [
     slow "single gaussian tails" test_single_gaussian_tail;
@@ -124,4 +165,6 @@ let suite =
     slow "pipeline integration" test_pipeline_integration;
     slow "highly correlated pipeline" test_highly_correlated_pipeline;
     quick "validation" test_validation;
+    quick "draw weight golden stream" test_draw_weight_golden;
+    quick "weight sampler allocation per draw" test_weight_sampler_allocation;
   ]

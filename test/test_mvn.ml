@@ -70,6 +70,50 @@ let test_sample_max () =
   let m = Mvn.sample_max mvn rng in
   check_in_range "dominated max" ~lo:90.0 ~hi:110.0 m
 
+(* Twelve correlated stages (rho = 0.3): the engine's moments-only
+   benchmark shape. *)
+let mvn12 () =
+  Mvn.create
+    ~mus:(Array.init 12 (fun i -> 100.0 +. float_of_int i))
+    ~sigmas:(Array.make 12 5.0)
+    ~corr:(Spv_stats.Correlation.uniform ~n:12 ~rho:0.3)
+
+(* First [sample_max] draws from seed 44, as IEEE bits, recorded
+   before the sampler was rewritten to reuse scratch vectors. *)
+let sample_max_golden =
+  [|
+    0x405D6C7DDD20F5B8L; 0x405CD1285727714BL; 0x405AC2AB59BCF924L;
+    0x405D233317F7E037L; 0x405D93FB312762C7L; 0x405C6ED37C0CE973L;
+    0x405C0669986CBAE0L; 0x405C62780F9F0FB7L; 0x405B6EBF410FED68L;
+    0x405AA0E1300DE102L; 0x405C7DA85E0587EAL; 0x405E7B08F148F992L;
+  |]
+
+let check_golden name expected draw =
+  Array.iteri
+    (fun i e ->
+      Alcotest.(check int64)
+        (Printf.sprintf "%s draw %d" name i)
+        e
+        (Int64.bits_of_float (draw ())))
+    expected
+
+let test_sample_max_golden () =
+  let mvn = mvn12 () in
+  let rng = Spv_stats.Rng.create ~seed:44 in
+  check_golden "sample_max" sample_max_golden (fun () -> Mvn.sample_max mvn rng);
+  check_golden "max_sampler" sample_max_golden
+    (Mvn.max_sampler mvn (Spv_stats.Rng.create ~seed:44));
+  (* the scalar path through [sample] folds to the same maxima *)
+  let rng = Spv_stats.Rng.create ~seed:44 in
+  check_golden "fold over sample" sample_max_golden (fun () ->
+      Array.fold_left Float.max neg_infinity (Mvn.sample mvn rng))
+
+let test_max_sampler_allocation () =
+  let draw = Mvn.max_sampler (mvn12 ()) (Spv_stats.Rng.create ~seed:46) in
+  let words = minor_words_per_call ~n:100_000 draw in
+  if words > 4.0 then
+    Alcotest.failf "max_sampler: %.2f minor words per trial (limit 4)" words
+
 let suite =
   [
     quick "validation" test_validation;
@@ -78,4 +122,6 @@ let suite =
     quick "perfect correlation" test_perfect_correlation;
     quick "zero sigma degenerate" test_zero_sigma;
     quick "sample max" test_sample_max;
+    quick "sample max golden stream" test_sample_max_golden;
+    quick "max sampler allocation per trial" test_max_sampler_allocation;
   ]

@@ -239,6 +239,43 @@ let test_gaussian_golden_child () =
     (Rng.split (Rng.create ~seed:42) 8).(3)
     gaussian_golden_child
 
+(* [fill_gaussian] and [gaussian] share one polar-method stream:
+   odd-length fills leave a value held over for the next scalar call
+   and vice versa, so any interleaving must reproduce the scalar-only
+   stream bit for bit. *)
+let test_fill_gaussian_interleaves_with_scalar () =
+  let rng = Rng.create ~seed:42 in
+  let got = ref [] in
+  let push x = got := x :: !got in
+  for k = 0 to 39 do
+    (* Mostly odd lengths, so a fill often ends mid-pair; the empty
+       fill must leave a pending value alone. *)
+    let a = Array.make [| 0; 1; 3; 5; 2; 7; 13 |].(k mod 7) nan in
+    Rng.fill_gaussian rng a;
+    Array.iter push a;
+    push (Rng.gaussian rng);
+    if k mod 3 = 0 then push (Rng.gaussian rng)
+  done;
+  let scalar_only = Rng.create ~seed:42 in
+  List.iteri
+    (fun i x ->
+      Alcotest.(check int64)
+        (Printf.sprintf "draw %d" i)
+        (Int64.bits_of_float (Rng.gaussian scalar_only))
+        (Int64.bits_of_float x))
+    (List.rev !got)
+
+let test_fill_gaussian_allocates_nothing () =
+  let rng = Rng.create ~seed:43 in
+  let a = Array.make 13 0.0 in
+  Rng.fill_gaussian rng a;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Rng.fill_gaussian rng a
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words over 130k draws" 0.0 words
+
 let test_split_rejects_nonpositive () =
   let parent = Rng.create ~seed:29 in
   Alcotest.check_raises "split 0 rejected"
@@ -281,6 +318,8 @@ let suite =
     quick "split golden fixture" test_split_golden;
     quick "gaussian golden fixture (root)" test_gaussian_golden_root;
     quick "gaussian golden fixture (split child)" test_gaussian_golden_child;
+    quick "fill_gaussian interleaves with gaussian" test_fill_gaussian_interleaves_with_scalar;
+    quick "fill_gaussian allocates nothing" test_fill_gaussian_allocates_nothing;
     quick "split rejects n <= 0" test_split_rejects_nonpositive;
     quick "copy" test_copy;
     quick "shuffle is a permutation" test_shuffle_permutation;
