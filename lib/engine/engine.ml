@@ -612,10 +612,20 @@ let resolve_jobs ~where jobs =
 
 let shard_streams ~seed ~shards = Rng.split (Rng.create ~seed) shards
 
-(* Every trial below is built by a [make_trial rng] (or [make_sample])
-   applied once per shard stream, before any task runs: a sampler's
-   scratch vectors are created there, so each shard owns its own and
-   only the task running that shard ever touches them. *)
+(* A shard's mutable state (its Rng stream, its sampler's scratch
+   vectors, its accumulators) is built by [make rng] inside the task
+   that runs the shard, on that task's domain, from a copy of the
+   shard's stream made there.  Each shard owns its state and only its
+   task touches it.  Building the states side by side on the calling
+   domain instead would put neighbouring shards, run by different
+   domains, on shared cache lines that both write on every draw
+   (false sharing): at jobs=2 that cost more CPU than the second
+   domain gained.  The adaptive drivers run a shard's task once per
+   round, always on the same worker slot, so the state is forced once
+   and kept. *)
+let shard_states ~seed ~shards make =
+  Array.map (fun rng -> lazy (make (Rng.copy rng))) (shard_streams ~seed ~shards)
+
 let fails_trial mvn ~t_target rng =
   let draw = Mvn.max_sampler mvn rng in
   fun () -> draw () > t_target
@@ -665,7 +675,7 @@ let mean_se (n, mean, m2) =
   (mean, se)
 
 let count_task trials counts i () =
-  let t = trials.(i) in
+  let t = Lazy.force trials.(i) in
   let s = ref 0 in
   for _ = 1 to counts.(i) do
     if t () then incr s
@@ -673,7 +683,7 @@ let count_task trials counts i () =
   !s
 
 let bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
+  let trials = shard_states ~seed ~shards make_trial in
   let counts = shard_counts n shards in
   let tasks = Array.init shards (count_task trials counts) in
   Array.fold_left ( + ) 0 (Par.run ~jobs tasks)
@@ -685,12 +695,12 @@ let bernoulli_fixed ~jobs ~shards ~seed ~n ~make_trial =
    runs at the same (seed, shards, n) — a T_target sweep pays for the
    sampling once. *)
 let bernoulli_fixed_multi ~jobs ~shards ~seed ~n ~make_sample ~targets =
-  let samplers = Array.map make_sample (shard_streams ~seed ~shards) in
+  let samplers = shard_states ~seed ~shards make_sample in
   let counts = shard_counts n shards in
   let nt = Array.length targets in
   let tasks =
     Array.init shards (fun i () ->
-        let s = samplers.(i) in
+        let s = Lazy.force samplers.(i) in
         let succ = Array.make nt 0 in
         for _ = 1 to counts.(i) do
           let x = s () in
@@ -706,7 +716,7 @@ let bernoulli_fixed_multi ~jobs ~shards ~seed ~n ~make_sample ~targets =
 
 let bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
     ~max_samples ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
+  let trials = shard_states ~seed ~shards make_trial in
   let successes = ref 0 and drawn = ref 0 in
   let stop = ref None in
   while !stop = None do
@@ -726,11 +736,11 @@ let bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
   (!successes, !drawn, stop)
 
 let moments_fixed ~jobs ~shards ~seed ~n ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
+  let trials = shard_states ~seed ~shards make_trial in
   let counts = shard_counts n shards in
   let tasks =
     Array.init shards (fun i () ->
-        let t = trials.(i) in
+        let t = Lazy.force trials.(i) in
         let m = moments_create () in
         for _ = 1 to counts.(i) do
           moments_add m (t ())
@@ -741,8 +751,9 @@ let moments_fixed ~jobs ~shards ~seed ~n ~make_trial =
 
 let moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
     ~max_samples ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
-  let accs = Array.init shards (fun _ -> moments_create ()) in
+  let states =
+    shard_states ~seed ~shards (fun rng -> (make_trial rng, moments_create ()))
+  in
   let drawn = ref 0 in
   let merged = ref (0, 0.0, 0.0) in
   let stop = ref None in
@@ -751,7 +762,7 @@ let moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
     let counts = shard_counts round shards in
     let tasks =
       Array.init shards (fun i () ->
-          let t = trials.(i) and m = accs.(i) in
+          let t, m = Lazy.force states.(i) in
           for _ = 1 to counts.(i) do
             moments_add m (t ())
           done;
@@ -772,7 +783,7 @@ let moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
   (!merged, stop)
 
 let fill_fixed ~jobs ~shards ~seed ~n ~make_trial =
-  let trials = Array.map make_trial (shard_streams ~seed ~shards) in
+  let trials = shard_states ~seed ~shards make_trial in
   let counts = shard_counts n shards in
   let offsets = Array.make shards 0 in
   for i = 1 to shards - 1 do
@@ -781,7 +792,7 @@ let fill_fixed ~jobs ~shards ~seed ~n ~make_trial =
   let out = Array.make n 0.0 in
   let tasks =
     Array.init shards (fun i () ->
-        let t = trials.(i) in
+        let t = Lazy.force trials.(i) in
         for k = offsets.(i) to offsets.(i) + counts.(i) - 1 do
           out.(k) <- t ()
         done)
@@ -1213,7 +1224,7 @@ let gate_level_stage_samples ?exact ?jobs ?(shards = default_shards)
   done;
   let tasks =
     Array.init shards (fun i () ->
-        let smp = fresh_sampler () and rng = streams.(i) in
+        let smp = fresh_sampler () and rng = Rng.copy streams.(i) in
         for k = offsets.(i) to offsets.(i) + counts.(i) - 1 do
           let delays = Ssta.draw_stage_delays smp rng in
           for s = 0 to stages - 1 do
