@@ -46,13 +46,40 @@ let mat_vec_into a x out =
   if a.c <> Array.length x || a.r <> Array.length out then
     invalid_arg "Matrix.mat_vec: dimension mismatch";
   if x == out then invalid_arg "Matrix.mat_vec_into: output aliases input";
-  for i = 0 to a.r - 1 do
-    let row = i * a.c in
-    let acc = ref 0.0 in
-    for j = 0 to a.c - 1 do
-      acc := !acc +. (a.data.(row + j) *. x.(j))
+  let c = a.c and data = a.data in
+  (* Each row is summed left to right in its own accumulator, as in a
+     one-row-at-a-time loop, so results are bit-identical to it.  Four
+     rows share a pass over [x] so their dependent add chains overlap
+     instead of each waiting on the previous add's latency. *)
+  let i = ref 0 in
+  while !i + 3 < a.r do
+    let r0 = !i * c in
+    let r1 = r0 + c in
+    let r2 = r1 + c in
+    let r3 = r2 + c in
+    let acc0 = ref 0.0 and acc1 = ref 0.0 in
+    let acc2 = ref 0.0 and acc3 = ref 0.0 in
+    for j = 0 to c - 1 do
+      let xj = x.(j) in
+      acc0 := !acc0 +. (data.(r0 + j) *. xj);
+      acc1 := !acc1 +. (data.(r1 + j) *. xj);
+      acc2 := !acc2 +. (data.(r2 + j) *. xj);
+      acc3 := !acc3 +. (data.(r3 + j) *. xj)
     done;
-    out.(i) <- !acc
+    out.(!i) <- !acc0;
+    out.(!i + 1) <- !acc1;
+    out.(!i + 2) <- !acc2;
+    out.(!i + 3) <- !acc3;
+    i := !i + 4
+  done;
+  while !i < a.r do
+    let r0 = !i * c in
+    let acc = ref 0.0 in
+    for j = 0 to c - 1 do
+      acc := !acc +. (data.(r0 + j) *. x.(j))
+    done;
+    out.(!i) <- !acc;
+    incr i
   done
 
 let mat_vec a x =
