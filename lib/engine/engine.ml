@@ -639,11 +639,10 @@ let shard_counts n shards =
       (n / shards) + if i < n mod shards then 1 else 0)
 
 (* Streaming moments: Welford accumulation per shard, Chan's parallel
-   merge across shards (applied in fixed shard order). *)
-(* The count is held as a float so the record is all-float and its
-   fields are stored unboxed: an [int] field would make every
-   [m_mean]/[m_m2] update allocate.  Counts stay far below 2^53, where
-   the float is exact. *)
+   merge across shards (applied in fixed shard order).  The count is
+   held as a float so the record is all-float and its fields are
+   stored unboxed (an [int] field would make every [m_mean]/[m_m2]
+   update allocate); counts stay far below 2^53, where it is exact. *)
 type moments = { mutable m_n : float; mutable m_mean : float; mutable m_m2 : float }
 
 let moments_create () = { m_n = 0.0; m_mean = 0.0; m_m2 = 0.0 }
