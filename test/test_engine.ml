@@ -268,6 +268,28 @@ let test_par_run_propagates_exceptions () =
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ()
 
+(* Sampling allocates almost nothing on the calling domain, so minor
+   collections, and with them major slices, are rare.  The heap left
+   by each joined worker domain must still be reclaimed: over 2000
+   two-domain MC calls the major heap grows by about 230k words with a
+   slice after the join, and by about 940k without one. *)
+let test_par_run_heap_stays_flat () =
+  let ctx = moments_ctx () in
+  let call () =
+    ignore (Engine.yield ~method_:Engine.Mc ~jobs:2 ~n:256 ctx ~t_target:110.0)
+  in
+  for _ = 1 to 200 do
+    call ()
+  done;
+  Gc.full_major ();
+  let h0 = (Gc.quick_stat ()).Gc.heap_words in
+  for _ = 1 to 2000 do
+    call ()
+  done;
+  let grown = (Gc.quick_stat ()).Gc.heap_words - h0 in
+  if grown > 500_000 then
+    Alcotest.failf "major heap grew by %d words over 2000 calls" grown
+
 let suite =
   [
     Alcotest.test_case "adaptive yield is jobs-invariant" `Slow
@@ -301,4 +323,6 @@ let suite =
       test_par_run_preserves_order;
     Alcotest.test_case "Par.run propagates exceptions" `Quick
       test_par_run_propagates_exceptions;
+    Alcotest.test_case "Par.run: heap stays flat across calls" `Slow
+      test_par_run_heap_stays_flat;
   ]
