@@ -620,9 +620,11 @@ let shard_streams ~seed ~shards = Rng.split (Rng.create ~seed) shards
    domain instead would put neighbouring shards, run by different
    domains, on shared cache lines that both write on every draw
    (false sharing): at jobs=2 that cost more CPU than the second
-   domain gained.  The adaptive drivers run a shard's task once per
-   round, always on the same worker slot, so the state is forced once
-   and kept. *)
+   domain gained.  The adaptive drivers run their rounds on one
+   [Par.with_team], which runs a shard on the same domain every round,
+   so the state is forced once and stays there.  (Spawning domains
+   for every round also left each one's heap behind: peak RSS grew
+   with the number of rounds run.) *)
 let shard_states ~seed ~shards make =
   Array.map (fun rng -> lazy (make (Rng.copy rng))) (shard_streams ~seed ~shards)
 
@@ -718,19 +720,22 @@ let bernoulli_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
   let trials = shard_states ~seed ~shards make_trial in
   let successes = ref 0 and drawn = ref 0 in
   let stop = ref None in
-  while !stop = None do
-    let round = min batch (max_samples - !drawn) in
-    let counts = shard_counts round shards in
-    let tasks = Array.init shards (count_task trials counts) in
-    Array.iter (fun s -> successes := !successes + s) (Par.run ~jobs tasks);
-    drawn := !drawn + round;
-    let fn = float_of_int !drawn in
-    let p = float_of_int !successes /. fn in
-    let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. fn) in
-    if !drawn >= min_samples && p > 0.0 && se /. p <= rel_se_target then
-      stop := Some Converged
-    else if !drawn >= max_samples then stop := Some Sample_cap
-  done;
+  Par.with_team ~jobs:(min jobs shards) (fun team ->
+      while !stop = None do
+        let round = min batch (max_samples - !drawn) in
+        let counts = shard_counts round shards in
+        let tasks = Array.init shards (count_task trials counts) in
+        Array.iter
+          (fun s -> successes := !successes + s)
+          (Par.run_on team tasks);
+        drawn := !drawn + round;
+        let fn = float_of_int !drawn in
+        let p = float_of_int !successes /. fn in
+        let se = sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. fn) in
+        if !drawn >= min_samples && p > 0.0 && se /. p <= rel_se_target then
+          stop := Some Converged
+        else if !drawn >= max_samples then stop := Some Sample_cap
+      done);
   let stop = match !stop with Some s -> s | None -> assert false in
   (!successes, !drawn, stop)
 
@@ -756,28 +761,29 @@ let moments_adaptive ~jobs ~shards ~seed ~batch ~min_samples ~rel_se_target
   let drawn = ref 0 in
   let merged = ref (0, 0.0, 0.0) in
   let stop = ref None in
-  while !stop = None do
-    let round = min batch (max_samples - !drawn) in
-    let counts = shard_counts round shards in
-    let tasks =
-      Array.init shards (fun i () ->
-          let t, m = Lazy.force states.(i) in
-          for _ = 1 to counts.(i) do
-            moments_add m (t ())
-          done;
-          moments_snapshot m)
-    in
-    let snaps = Par.run ~jobs tasks in
-    drawn := !drawn + round;
-    merged := Array.fold_left moments_merge (0, 0.0, 0.0) snaps;
-    let mean, se = mean_se !merged in
-    if
-      !drawn >= min_samples
-      && Float.abs mean > 0.0
-      && se /. Float.abs mean <= rel_se_target
-    then stop := Some Converged
-    else if !drawn >= max_samples then stop := Some Sample_cap
-  done;
+  Par.with_team ~jobs:(min jobs shards) (fun team ->
+      while !stop = None do
+        let round = min batch (max_samples - !drawn) in
+        let counts = shard_counts round shards in
+        let tasks =
+          Array.init shards (fun i () ->
+              let t, m = Lazy.force states.(i) in
+              for _ = 1 to counts.(i) do
+                moments_add m (t ())
+              done;
+              moments_snapshot m)
+        in
+        let snaps = Par.run_on team tasks in
+        drawn := !drawn + round;
+        merged := Array.fold_left moments_merge (0, 0.0, 0.0) snaps;
+        let mean, se = mean_se !merged in
+        if
+          !drawn >= min_samples
+          && Float.abs mean > 0.0
+          && se /. Float.abs mean <= rel_se_target
+        then stop := Some Converged
+        else if !drawn >= max_samples then stop := Some Sample_cap
+      done);
   let stop = match !stop with Some s -> s | None -> assert false in
   (!merged, stop)
 

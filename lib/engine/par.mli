@@ -22,3 +22,22 @@ val run : jobs:int -> (unit -> 'a) array -> 'a array
     still joined and the first exception (in task order: calling
     domain first, then helpers) is re-raised.  Raises
     [Invalid_argument] when [jobs <= 0]. *)
+
+type team
+(** A fixed set of domains, the caller and [size - 1] helpers, that
+    runs batches of tasks one after another.  Helpers wait between
+    batches instead of being spawned for each one. *)
+
+val with_team : jobs:int -> (team -> 'a) -> 'a
+(** [with_team ~jobs f] spawns [jobs - 1] helper domains, applies [f]
+    to the team, then stops and joins the helpers, also when [f]
+    raises.  Use it for a run of dependent batches, such as the
+    adaptive estimators' rounds.  A team must not be shared with
+    another domain, and [run_on] must not be called from its own
+    tasks.  Raises [Invalid_argument] when [jobs <= 0]. *)
+
+val run_on : team -> (unit -> 'a) array -> 'a array
+(** [run_on team tasks] is {!run} on the team's domains: task [i]
+    always runs on worker [i mod size] (worker 0 is the caller), so a
+    shard's state stays on one domain across batches.  Results and
+    exceptions follow {!run}. *)

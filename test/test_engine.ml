@@ -268,6 +268,31 @@ let test_par_run_propagates_exceptions () =
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ()
 
+(* A team keeps its helper domains across batches: every batch's
+   results come back in task order, task [i] runs on the same domain
+   in every batch, and a task's exception reaches the caller after the
+   helpers are stopped. *)
+let test_par_team_batches () =
+  let domain_of () = (Domain.self () :> int) in
+  Par.with_team ~jobs:3 (fun team ->
+      let first = Par.run_on team (Array.init 7 (fun _ () -> domain_of ())) in
+      for b = 1 to 40 do
+        let r = Par.run_on team (Array.init 7 (fun i () -> (b * 10) + i)) in
+        Alcotest.(check (array int))
+          (Printf.sprintf "batch %d order" b)
+          (Array.init 7 (fun i -> (b * 10) + i))
+          r
+      done;
+      Alcotest.(check (array int)) "task i stays on its domain" first
+        (Par.run_on team (Array.init 7 (fun _ () -> domain_of ()))));
+  match
+    Par.with_team ~jobs:3 (fun team ->
+        Par.run_on team
+          (Array.init 5 (fun i () -> if i = 4 then failwith "boom" else i)))
+  with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure _ -> ()
+
 (* Sampling allocates almost nothing on the calling domain, so minor
    collections, and with them major slices, are rare.  The heap left
    by each joined worker domain must still be reclaimed: over 2000
@@ -325,4 +350,6 @@ let suite =
       test_par_run_propagates_exceptions;
     Alcotest.test_case "Par.run: heap stays flat across calls" `Slow
       test_par_run_heap_stays_flat;
+    Alcotest.test_case "Par.with_team: batches keep their domains" `Quick
+      test_par_team_batches;
   ]
