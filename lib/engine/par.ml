@@ -60,22 +60,29 @@ let with_team ~jobs f =
       failures = Array.make jobs None;
     }
   in
-  let helpers = Array.init (jobs - 1) (fun k -> Domain.spawn (helper team (k + 1))) in
+  let helpers = ref [] in
   let finish () =
     Mutex.lock team.lock;
     team.quit <- true;
     Condition.broadcast team.wake;
     Mutex.unlock team.lock;
-    Array.iter Domain.join helpers;
+    List.iter Domain.join !helpers;
     (* A joined domain leaves its heap to the next major cycle, and the
        words it promoted are major-GC work paid only in slices, which
        run at minor collections.  Allocation-free sampling loops let
        the calling domain go many calls without one, so without this
        slice the heap grew by each joined domain's leftovers, about
        3 KB per call in a 12-stage MC loop. *)
-    if helpers <> [||] then ignore (Gc.major_slice 0 : int)
+    if !helpers <> [] then ignore (Gc.major_slice 0 : int)
   in
-  match f team with
+  (* A failed spawn also goes through [finish], so the helpers already
+     started are stopped rather than left waiting. *)
+  match
+    for k = 1 to jobs - 1 do
+      helpers := Domain.spawn (helper team k) :: !helpers
+    done;
+    f team
+  with
   | v ->
       finish ();
       v
