@@ -7,6 +7,7 @@
      main.exe fig2 table1     run selected experiments
      main.exe --no-perf       skip the Bechamel section
      main.exe --jobs N        widen the engine scaling sweep to N domains
+                              (capped at the recommended domain count)
      main.exe --list          list experiment ids *)
 
 module E = Spv_experiments
@@ -44,20 +45,50 @@ type scaling_row = { jobs : int; seconds : float; trials_per_sec : float }
 type scaling_workload = {
   w_name : string;
   w_trials : int;
+  w_words_per_trial : float;
   w_rows : scaling_row list;
 }
 
+(* More worker domains than the host has cores only measures
+   oversubscription, so the sweep stops at the runtime's recommended
+   domain count (jobs=1 always runs). *)
+let engine_jobs () =
+  let cap = Domain.recommended_domain_count () in
+  List.partition (fun j -> j = 1 || j <= cap) (Array.to_list !jobs_sweep)
+
+let engine_repeats = 5
+
+let median xs =
+  let s = Array.copy xs in
+  Array.sort compare s;
+  let n = Array.length s in
+  if n = 0 then Float.nan
+  else if n mod 2 = 1 then s.(n / 2)
+  else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
+
+(* Minor words per trial come from a jobs=1 run, where every shard runs
+   on the calling domain and [Gc.minor_words] sees all of it.  Each
+   timing is the median of [engine_repeats] wall-clock runs after one
+   warm-up. *)
 let scale_workload ~name ~trials run =
   run ~jobs:1 ~n:(min 512 trials);
-  let w_rows =
-    Array.to_list
-      (Array.map
-         (fun jobs ->
-           let seconds = wall (fun () -> run ~jobs ~n:trials) in
-           { jobs; seconds; trials_per_sec = float_of_int trials /. seconds })
-         !jobs_sweep)
+  let w0 = Gc.minor_words () in
+  run ~jobs:1 ~n:trials;
+  let w_words_per_trial =
+    (Gc.minor_words () -. w0) /. float_of_int trials
   in
-  { w_name = name; w_trials = trials; w_rows }
+  let w_rows =
+    List.map
+      (fun jobs ->
+        let seconds =
+          median
+            (Array.init engine_repeats (fun _ ->
+                 wall (fun () -> run ~jobs ~n:trials)))
+        in
+        { jobs; seconds; trials_per_sec = float_of_int trials /. seconds })
+      (fst (engine_jobs ()))
+  in
+  { w_name = name; w_trials = trials; w_words_per_trial; w_rows }
 
 let engine_workloads () =
   let tech = E.Common.base_tech in
@@ -83,6 +114,11 @@ let engine_workloads () =
         ignore
           (Engine.yield ~method_:Engine.Mc ~jobs ~n moments_ctx
              ~t_target:115.0));
+    scale_workload ~name:"importance-moments-12stage" ~trials:100_000
+      (fun ~jobs ~n ->
+        ignore
+          (Engine.yield_loss ~method_:Engine.Importance ~jobs ~n moments_ctx
+             ~t_target:135.0));
     scale_workload ~name:"gate-level-8x5" ~trials:4_000 (fun ~jobs ~n ->
         ignore (Engine.gate_level_delays ~jobs ctx_8x5 ~n));
     scale_workload ~name:"gate-level-5x8" ~trials:4_000 (fun ~jobs ~n ->
@@ -94,12 +130,19 @@ let write_engine_json path workloads =
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"recommended_domains\": %d,\n"
     (Domain.recommended_domain_count ());
+  Printf.bprintf b "  \"ocaml\": %S,\n" Sys.ocaml_version;
+  Printf.bprintf b "  \"repeats\": %d,\n" engine_repeats;
+  Printf.bprintf b "  \"jobs_dropped_above_cap\": [%s],\n"
+    (String.concat ", " (List.map string_of_int (snd (engine_jobs ()))));
   Buffer.add_string b "  \"workloads\": [\n";
   List.iteri
     (fun i w ->
       let base = (List.hd w.w_rows).trials_per_sec in
-      Printf.bprintf b "    {\"name\": %S, \"trials\": %d, \"rows\": [\n"
-        w.w_name w.w_trials;
+      Printf.bprintf b
+        "    {\"name\": %S, \"trials\": %d, \"minor_words_per_trial\": \
+         %s, \"rows\": [\n"
+        w.w_name w.w_trials
+        (json_float f2 w.w_words_per_trial);
       List.iteri
         (fun j r ->
           Printf.bprintf b
@@ -124,10 +167,16 @@ let run_engine_scaling () =
     "Engine parallel scaling: deterministic shards over worker domains";
   Printf.printf "  runtime-recommended domain count: %d\n"
     (Domain.recommended_domain_count ());
+  (match snd (engine_jobs ()) with
+  | [] -> ()
+  | dropped ->
+      Printf.printf "  skipped jobs above the core count: %s\n"
+        (String.concat ", " (List.map string_of_int dropped)));
   let ws = engine_workloads () in
   List.iter
     (fun w ->
-      Printf.printf "  %s (%d trials):\n" w.w_name w.w_trials;
+      Printf.printf "  %s (%d trials, %.2f minor words/trial at jobs=1):\n"
+        w.w_name w.w_trials w.w_words_per_trial;
       let base = (List.hd w.w_rows).trials_per_sec in
       List.iter
         (fun r ->
@@ -233,14 +282,6 @@ type affine_row = {
   a_model_escapes : int;  (* MC samples outside the delay enclosure *)
   a_gate_escapes : int;
 }
-
-let median xs =
-  let s = Array.copy xs in
-  Array.sort compare s;
-  let n = Array.length s in
-  if n = 0 then Float.nan
-  else if n mod 2 = 1 then s.(n / 2)
-  else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
 
 let count_escapes enclosure samples =
   Array.fold_left
